@@ -103,8 +103,16 @@ const TRACED_CRATES: &[&str] = &[
 /// `ca-async` joins the list because its executor queue and per-instance
 /// buffers (RBC echo/ready tallies, pending witness sets) grow with
 /// network input; every such structure must carry an explicit bound or a
-/// `ca-budget` annotation.
-const BOUNDED_QUEUE_CRATES: &[&str] = &["ca-engine", "ca-runtime", "ca-core", "ca-ba", "ca-async"];
+/// `ca-budget` annotation. `ca-net` hosts the lock-step executor core
+/// whose submit and deliver queues the simulator and the engine share.
+const BOUNDED_QUEUE_CRATES: &[&str] = &[
+    "ca-engine",
+    "ca-runtime",
+    "ca-core",
+    "ca-ba",
+    "ca-async",
+    "ca-net",
+];
 
 /// The full rule registry, in reporting order.
 #[must_use]

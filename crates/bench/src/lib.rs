@@ -6,21 +6,20 @@
 //!
 //! | id | claim | target |
 //! |----|-------|--------|
-//! | T1 | Cor. 2 communication vs `O(ℓn²)`/`O(ℓn³)` baselines | `benches/t1_protocol_comparison.rs` |
-//! | F1 | optimality threshold `ℓ = Ω(κ·n·log²n)`, crossover | `benches/f1_scaling_ell.rs` |
-//! | F2 | slope in `n` | `benches/f2_scaling_n.rs` |
-//! | T2 | round complexity `O(n log n)` | `benches/t2_rounds.rs` |
-//! | F3 | per-subprotocol cost decomposition | `benches/f3_breakdown.rs` |
-//! | T3 | Thm 1 extension-protocol savings | `benches/t3_extension.rs` |
-//! | T4 | Def. 1 properties under the adversary matrix | `benches/t4_adversarial.rs` |
-//! | F4 | `Π_BA` instantiation ablation | `benches/f4_ba_ablation.rs` |
-//! | F5 | `FindPrefix` iteration/prefix behaviour | `benches/f5_findprefix.rs` |
+//! | T1 | Cor. 2 communication vs `O(ℓn²)`/`O(ℓn³)` baselines | `experiments -- t1` |
+//! | F1 | optimality threshold `ℓ = Ω(κ·n·log²n)`, crossover | `experiments -- f1` |
+//! | F2 | slope in `n` | `experiments -- f2` |
+//! | T2 | round complexity `O(n log n)` | `experiments -- t2` |
+//! | F3 | per-subprotocol cost decomposition | `experiments -- f3` |
+//! | T3 | Thm 1 extension-protocol savings | `experiments -- t3` |
+//! | T4 | Def. 1 properties under the adversary matrix | `experiments -- t4` |
+//! | F4 | `Π_BA` instantiation ablation | `experiments -- f4` |
+//! | F5 | `FindPrefix` iteration/prefix behaviour | `experiments -- f5` |
 //! | T5 | substrate micro-benchmarks (criterion) | `benches/t5_micro.rs` |
 //!
-//! Each experiment is a library function so it can be driven both by
-//! `cargo bench` (the `harness = false` bench targets) and by the
-//! `experiments` binary (`cargo run -p ca-bench --release --bin
-//! experiments -- <id>|all [--quick]`).
+//! Each experiment is a library function driven by the `experiments`
+//! binary (`cargo run -p ca-bench --release --bin experiments --
+//! <id>|all [--quick]`); T5 is the one criterion bench target.
 
 pub mod experiments;
 pub mod runner;

@@ -1,17 +1,16 @@
 //! The engine driver: one party's multi-tenant session executor.
 //!
-//! Mirrors the `Sim` executor pattern one level up. Each admitted session
-//! runs its protocol body on its own scoped thread against a
-//! [`SessionComm`]; the driver — itself running as an ordinary party
-//! closure against any [`Comm`], so the same code multiplexes over the
-//! deterministic `Sim` and the TCP runtime — repeats a lock-step service
-//! round:
+//! Runs on the same [`Lockstep`] core as the `Sim` executor, one level
+//! up. Each admitted session is a lock-step member: its protocol body
+//! runs on its own scoped thread against a member `Comm`. The driver —
+//! itself running as an ordinary party closure against any [`Comm`], so
+//! the same code multiplexes over the deterministic `Sim` and the TCP
+//! runtime — repeats a lock-step service round:
 //!
 //! 1. **Admit** due sessions while the table has capacity (open-loop
 //!    arrivals past capacity are rejected, closed-loop ones wait).
-//! 2. **Collect** exactly one submission per live session over a bounded
-//!    channel, then process them in session-id order (determinism does
-//!    not depend on thread scheduling).
+//! 2. **Collect** exactly one report per live session, in session-id
+//!    order (determinism does not depend on thread scheduling).
 //! 3. **Replay** each session's buffered trace events through the parent
 //!    transport under the `engine/s<id>` scope prefix.
 //! 4. **Batch** all sessions' same-destination sends into session-tagged
@@ -21,21 +20,18 @@
 //!    past the per-sender cap.
 //! 6. **Reap** decided sessions, recording latency and output.
 //!
-//! Teardown is ownership-driven: dropping the session table disconnects
-//! every per-session channel, which unwinds session threads cleanly even
+//! Teardown is by disconnect: dropping the `Lockstep` drops every
+//! session's deliver sender, which unwinds session threads cleanly even
 //! when the transport itself shuts the driver down mid-round (e.g. the
 //! simulator adaptively corrupting this party).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Once;
 
 use bytes::Bytes;
 use ca_codec::{Encode as _, Writer};
-use ca_net::{Comm, Inbox, PartyId};
+use ca_net::{panic_message, Comm, Inbox, Lockstep, PartyId, Report};
 use ca_runtime::LENGTH_PREFIX_LEN;
-use ca_trace::Event;
+use ca_trace::{Event, Record};
 
 use crate::{
     ArrivalMode, EngineConfig, EngineStats, Envelope, EnvelopeRef, SessionFrame, SessionId,
@@ -67,162 +63,6 @@ impl<O> EngineOutput<O> {
     }
 }
 
-/// Payload used to unwind session threads on engine teardown. Mirrors the
-/// simulator's quiet-shutdown pattern: the panic hook stays silent for it.
-struct EngineShutdown;
-
-fn install_quiet_engine_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<EngineShutdown>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_owned()
-    }
-}
-
-enum SessionSubmission<O> {
-    /// The session flushed a round: its buffered sends and trace events.
-    Round {
-        sid: SessionId,
-        sends: Vec<(PartyId, Bytes)>,
-        events: Vec<Event>,
-    },
-    /// The session's body returned; sends are its fire-and-forget tail.
-    Done {
-        sid: SessionId,
-        output: O,
-        sends: Vec<(PartyId, Bytes)>,
-        events: Vec<Event>,
-    },
-    /// The session's body panicked (a real bug, not a shutdown).
-    Panicked { sid: SessionId, info: String },
-}
-
-enum SessionDirective {
-    Deliver(Inbox),
-}
-
-/// The per-session `Comm` a session protocol runs against: same `n`/`t`/
-/// `me` as the parent transport, but sends buffer locally and round
-/// boundaries synchronize with the driver instead of the network.
-struct SessionComm<O> {
-    n: usize,
-    t: usize,
-    me: PartyId,
-    sid: SessionId,
-    trace_on: bool,
-    pending: Vec<(PartyId, Bytes)>,
-    events: Vec<Event>,
-    submit: SyncSender<SessionSubmission<O>>,
-    deliver: Receiver<SessionDirective>,
-}
-
-impl<O> Comm for SessionComm<O> {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn t(&self) -> usize {
-        self.t
-    }
-
-    fn me(&self) -> PartyId {
-        self.me
-    }
-
-    fn send_bytes(&mut self, to: PartyId, payload: Bytes) {
-        self.pending.push((to, payload));
-    }
-
-    fn next_round(&mut self) -> Inbox {
-        let sends = std::mem::take(&mut self.pending);
-        let events = std::mem::take(&mut self.events);
-        if self
-            .submit
-            .send(SessionSubmission::Round {
-                sid: self.sid,
-                sends,
-                events,
-            })
-            .is_err()
-        {
-            panic::panic_any(EngineShutdown);
-        }
-        match self.deliver.recv() {
-            Ok(SessionDirective::Deliver(inbox)) => inbox,
-            Err(_) => panic::panic_any(EngineShutdown),
-        }
-    }
-
-    fn push_scope(&mut self, name: &str) {
-        if self.trace_on {
-            self.events.push(Event::ScopeEnter {
-                name: name.to_owned(),
-            });
-        }
-    }
-
-    fn pop_scope(&mut self) {
-        if self.trace_on {
-            self.events.push(Event::ScopeExit {
-                name: String::new(),
-            });
-        }
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.trace_on
-    }
-
-    fn trace(&mut self, event: Event) {
-        if self.trace_on {
-            self.events.push(event);
-        }
-    }
-}
-
-fn session_thread<O>(
-    mut comm: SessionComm<O>,
-    body: &(dyn Fn(&mut dyn Comm, SessionId) -> O + Sync),
-) {
-    let sid = comm.sid;
-    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut comm, sid)));
-    match result {
-        Ok(output) => {
-            let sends = std::mem::take(&mut comm.pending);
-            let events = std::mem::take(&mut comm.events);
-            // The driver may already be tearing down; a disconnected
-            // channel is a valid exit, not an error.
-            let _ = comm.submit.send(SessionSubmission::Done {
-                sid,
-                output,
-                sends,
-                events,
-            });
-        }
-        Err(payload) if payload.downcast_ref::<EngineShutdown>().is_some() => {}
-        Err(payload) => {
-            let _ = comm.submit.send(SessionSubmission::Panicked {
-                sid,
-                info: panic_message(payload.as_ref()),
-            });
-        }
-    }
-}
-
 /// Replays one session's round of buffered trace events through the
 /// parent transport, nesting them under `s<id>` plus the session's scope
 /// stack as it stood after the previous round. `rel_stack` tracks that
@@ -231,9 +71,9 @@ fn replay_session_trace(
     ctx: &mut dyn Comm,
     sid: SessionId,
     rel_stack: &mut Vec<String>,
-    events: Vec<Event>,
+    trace: Vec<Record>,
 ) {
-    if events.is_empty() {
+    if trace.is_empty() {
         return;
     }
     let tag = sid.scope_tag();
@@ -241,7 +81,7 @@ fn replay_session_trace(
     for name in rel_stack.iter() {
         ctx.push_scope(name);
     }
-    for event in events {
+    for Record { event, .. } in trace {
         match event {
             Event::ScopeEnter { name } => {
                 ctx.push_scope(&name);
@@ -294,7 +134,6 @@ fn connection_bits(n: usize, me: PartyId) -> u64 {
 }
 
 struct Slot {
-    deliver: SyncSender<SessionDirective>,
     rel_stack: Vec<String>,
     admit_round: u64,
     rounds: u64,
@@ -331,7 +170,6 @@ where
         config.inbox_frames_per_sender > 0,
         "engine needs inbox capacity"
     );
-    install_quiet_engine_hook();
 
     let n = ctx.n();
     let t = ctx.t();
@@ -341,15 +179,13 @@ where
     let mut decided: Vec<(SessionId, O)> = Vec::new();
     let mut rejected: Vec<SessionId> = Vec::new();
 
-    // Bounded by the session table: at most one in-flight submission per
-    // live session, so `max_sessions` is exactly the depth needed to
-    // never block a session behind the driver.
-    let (submit_tx, submit_rx) =
-        std::sync::mpsc::sync_channel::<SessionSubmission<O>>(config.max_sessions);
-
     ctx.push_scope(ENGINE_SCOPE);
+    let trace_on = ctx.trace_enabled();
     std::thread::scope(|scope| {
         let body: &(dyn Fn(&mut dyn Comm, SessionId) -> O + Sync) = &body;
+        // Capacity is the session table's: at most one in-flight report
+        // per live session.
+        let mut sessions = Lockstep::new(scope, n, t, trace_on, config.max_sessions);
         let mut table: BTreeMap<u64, Slot> = BTreeMap::new();
         let mut reaped: BTreeSet<u64> = BTreeSet::new();
         let mut next_spec = 0usize;
@@ -379,25 +215,11 @@ where
                     next_spec += 1;
                     continue;
                 }
-                // Depth 1 suffices: the driver sends at most one directive
-                // before collecting the session's next submission.
-                let (deliver_tx, deliver_rx) = std::sync::mpsc::sync_channel(1);
-                let comm = SessionComm {
-                    n,
-                    t,
-                    me,
-                    sid: spec.id,
-                    trace_on: ctx.trace_enabled(),
-                    pending: Vec::new(),
-                    events: Vec::new(),
-                    submit: submit_tx.clone(),
-                    deliver: deliver_rx,
-                };
-                scope.spawn(move || session_thread(comm, body));
+                let sid = spec.id;
+                sessions.spawn(sid.0, me, move |sctx| body(sctx, sid));
                 table.insert(
                     spec.id.0,
                     Slot {
-                        deliver: deliver_tx,
                         rel_stack: Vec::new(),
                         admit_round: engine_round,
                         rounds: 0,
@@ -426,45 +248,27 @@ where
                 continue;
             }
 
-            // ---- 2. Collect one submission per live session ----
-            let mut expected: BTreeSet<u64> = table.keys().copied().collect();
-            let mut subs: BTreeMap<u64, SessionSubmission<O>> = BTreeMap::new();
-            while !expected.is_empty() {
-                let sub = submit_rx
-                    .recv()
-                    .expect("engine: session threads disconnected mid-round");
-                let sid = match &sub {
-                    SessionSubmission::Round { sid, .. }
-                    | SessionSubmission::Done { sid, .. }
-                    | SessionSubmission::Panicked { sid, .. } => sid.0,
-                };
-                assert!(
-                    expected.remove(&sid),
-                    "engine: duplicate submission from session {sid} in one round"
-                );
-                subs.insert(sid, sub);
-            }
-
-            // ---- 3+4. Process in session-id order; queue outgoing ----
+            // ---- 2+3+4. Collect one report per live session, in
+            // session-id order; replay and queue outgoing ----
             // Frames per destination accumulate in session order, so the
             // wire image is independent of session-thread scheduling.
             let mut outgoing: Vec<Vec<SessionFrame>> = vec![Vec::new(); n];
-            for (sid_raw, sub) in subs {
-                match sub {
-                    SessionSubmission::Round { sid, sends, events } => {
+            for (sid_raw, report) in sessions.collect() {
+                let sid = SessionId(sid_raw);
+                match report {
+                    Report::Round { sends, trace, .. } => {
                         let slot = table.get_mut(&sid_raw).expect("live session has a slot");
                         slot.rounds += 1;
-                        replay_session_trace(ctx, sid, &mut slot.rel_stack, events);
+                        replay_session_trace(ctx, sid, &mut slot.rel_stack, trace);
                         queue_sends(&mut outgoing, &mut stats, me, sid, sends);
                     }
-                    SessionSubmission::Done {
-                        sid,
+                    Report::Done {
                         output,
                         sends,
-                        events,
+                        trace,
                     } => {
                         let mut slot = table.remove(&sid_raw).expect("live session has a slot");
-                        replay_session_trace(ctx, sid, &mut slot.rel_stack, events);
+                        replay_session_trace(ctx, sid, &mut slot.rel_stack, trace);
                         queue_sends(&mut outgoing, &mut stats, me, sid, sends);
                         stats.sessions_decided += 1;
                         stats.session_rounds.record(slot.rounds);
@@ -480,8 +284,11 @@ where
                         }
                         decided.push((sid, output));
                     }
-                    SessionSubmission::Panicked { sid, info } => {
-                        panic!("engine session {sid} panicked: {info}");
+                    Report::Panicked { payload } => {
+                        panic!(
+                            "engine session {sid} panicked: {}",
+                            panic_message(payload.as_ref())
+                        );
                     }
                 }
             }
@@ -574,16 +381,9 @@ where
 
             // ---- 5. Deliver ----
             for (sid, session_inbox) in routed {
-                let slot = &table[&sid];
-                let _ = slot.deliver.send(SessionDirective::Deliver(session_inbox));
+                sessions.deliver(sid, session_inbox);
             }
         }
-
-        // Teardown: dropping the table disconnects any remaining session
-        // channel (there are none on the normal path); dropping our
-        // submit_tx clone lets the scope join cleanly.
-        drop(table);
-        drop(submit_tx);
     });
     ctx.pop_scope();
 

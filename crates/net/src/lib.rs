@@ -15,6 +15,9 @@
 //!   adversary hook that sees the honest messages of round `r` *before*
 //!   choosing the corrupted parties' round-`r` messages (and may adaptively
 //!   corrupt more parties mid-protocol).
+//! * [`Lockstep`] — the executor core under `Sim`, [`run_parallel`] and
+//!   the `ca-engine` session driver: member threads, one report per member
+//!   per round, delivery, and teardown by disconnect.
 //! * [`Adversary`] / [`RoundView`] — the attacker interface; strategy
 //!   implementations live in `ca-adversary`.
 //! * [`Metrics`] — the quantities the paper bounds: `BITSℓ(Π)` (bits sent by
@@ -39,6 +42,7 @@ mod adversary;
 mod comm;
 mod delay;
 mod inbox;
+mod lockstep;
 mod metrics;
 mod parallel;
 mod sim;
@@ -49,8 +53,9 @@ pub use adversary::{Adversary, RoundActions, RoundView, SendSpec, Silent};
 // trace helpers) without a separate `ca-trace` import.
 pub use ca_trace::{compact_debug, Histogram, TraceSink};
 pub use comm::{Comm, CommExt, FaultEstimate};
-pub use delay::{DelayedSim, EdgeDelays, EdgeRule};
+pub use delay::{EdgeDelays, EdgeRule};
 pub use inbox::Inbox;
+pub use lockstep::{panic_message, Lockstep, Report};
 pub use metrics::{Metrics, ScopeMetrics};
 pub use parallel::run_parallel;
 pub use sim::{Corruption, RunReport, Sim};

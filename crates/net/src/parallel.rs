@@ -18,11 +18,10 @@
 //! `i`-th logical round of every live instance, and tagging by instance
 //! index is enough to demultiplex.
 
-use std::sync::mpsc;
-
 use bytes::Bytes;
 use ca_codec::{Decode, Encode, Reader, Writer};
 
+use crate::lockstep::{Lockstep, Report};
 use crate::{Comm, Inbox, PartyId};
 
 /// Wire envelope for multiplexed sub-instance messages.
@@ -47,57 +46,6 @@ impl Decode for Tagged {
         let payload = r.get_raw(r.remaining())?.to_vec();
         Ok(Tagged { instance, payload })
     }
-}
-
-enum ToParent {
-    Round {
-        sends: Vec<(PartyId, Bytes)>,
-    },
-    Done {
-        sends: Vec<(PartyId, Bytes)>,
-    },
-    /// The instance's body panicked: it will contribute nothing further.
-    /// Without this message the parent would wait forever for a Round
-    /// submission that never comes; the payload itself is re-raised from
-    /// the thread handle and propagated after every instance is joined.
-    Panicked,
-}
-
-/// The per-instance `Comm` handed to sub-protocol closures.
-struct SubComm {
-    n: usize,
-    t: usize,
-    me: PartyId,
-    pending: Vec<(PartyId, Bytes)>,
-    to_parent: mpsc::Sender<(usize, ToParent)>,
-    from_parent: mpsc::Receiver<Inbox>,
-    index: usize,
-}
-
-impl Comm for SubComm {
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn t(&self) -> usize {
-        self.t
-    }
-    fn me(&self) -> PartyId {
-        self.me
-    }
-    fn send_bytes(&mut self, to: PartyId, payload: Bytes) {
-        self.pending.push((to, payload));
-    }
-    fn next_round(&mut self) -> Inbox {
-        let sends = std::mem::take(&mut self.pending);
-        self.to_parent
-            .send((self.index, ToParent::Round { sends }))
-            // ca-lint: allow(panic-path) — in-process executor channel, not a network path
-            .expect("parent alive");
-        // ca-lint: allow(panic-path) — in-process executor channel, see above
-        self.from_parent.recv().expect("parent alive")
-    }
-    fn push_scope(&mut self, _name: &str) {}
-    fn pop_scope(&mut self) {}
 }
 
 /// Runs `k` logical instances of `body` in parallel over one physical
@@ -148,80 +96,40 @@ where
     }
 
     std::thread::scope(|scope| {
-        let (to_parent_tx, to_parent_rx) = mpsc::channel::<(usize, ToParent)>();
-        let mut inbox_txs = Vec::with_capacity(k);
-        let mut handles = Vec::with_capacity(k);
+        let mut instances = Lockstep::new(scope, n, t, false, k);
         for index in 0..k {
-            let (inbox_tx, inbox_rx) = mpsc::channel::<Inbox>();
-            inbox_txs.push(inbox_tx);
-            let to_parent = to_parent_tx.clone();
             let body = &body;
-            handles.push(scope.spawn(move || {
-                let mut sub = SubComm {
-                    n,
-                    t,
-                    me,
-                    pending: Vec::new(),
-                    to_parent: to_parent.clone(),
-                    from_parent: inbox_rx,
-                    index,
-                };
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    body(&mut sub, index)
-                })) {
-                    Ok(out) => {
-                        // Sign off, flushing any trailing sends in the same
-                        // message so the parent's cycle accounting stays
-                        // deterministic.
-                        let sends = std::mem::take(&mut sub.pending);
-                        let _ = to_parent.send((index, ToParent::Done { sends }));
-                        out
-                    }
-                    Err(payload) => {
-                        let _ = to_parent.send((index, ToParent::Panicked));
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }));
+            instances.spawn(index as u64, me, move |sub| body(sub, index));
         }
-        drop(to_parent_tx);
+        let mut outputs: Vec<Option<O>> = (0..k).map(|_| None).collect();
+        let mut first_panic = None;
 
-        let mut live: Vec<bool> = vec![true; k];
-
-        while live.iter().any(|l| *l) {
-            // Collect, from every live instance, either a Round submission
-            // or its termination (a finishing instance sends a final
-            // flush-Round followed by Done; both are consumed here).
-            let mut round_sends: Vec<(u32, Vec<(PartyId, Bytes)>)> = Vec::new();
-            let mut waiting: Vec<bool> = vec![false; k];
-            while (0..k).any(|i| live[i] && !waiting[i]) {
-                // ca-lint: allow(panic-path) — in-process executor channel, not a network path
-                let (index, msg) = to_parent_rx.recv().expect("instances alive");
-                match msg {
-                    ToParent::Round { sends } => {
-                        round_sends.push((index as u32, sends));
-                        waiting[index] = true;
+        loop {
+            // One physical round carries this cycle's logical round, in
+            // instance order. If no instance is waiting, trailing sends
+            // are merely buffered into the parent (flushed at its next
+            // round boundary).
+            let mut anyone_waiting = false;
+            for (index, report) in instances.collect() {
+                let sends = match report {
+                    Report::Round { sends, .. } => {
+                        anyone_waiting = true;
+                        sends
                     }
-                    ToParent::Done { sends } => {
-                        round_sends.push((index as u32, sends));
-                        live[index] = false;
-                        waiting[index] = false;
+                    Report::Done { output, sends, .. } => {
+                        outputs[index as usize] = Some(output);
+                        sends
                     }
-                    ToParent::Panicked => {
-                        live[index] = false;
-                        waiting[index] = false;
+                    // A panicked instance contributes nothing further; the
+                    // others run to completion before the panic surfaces.
+                    Report::Panicked { payload } => {
+                        first_panic.get_or_insert(payload);
+                        continue;
                     }
-                }
-            }
-            let anyone_waiting = waiting.iter().any(|w| *w);
-
-            // One physical round carries this cycle's logical round. If no
-            // instance is waiting, trailing sends are merely buffered into
-            // the parent (flushed at its next round boundary).
-            for (instance, sends) in round_sends {
+                };
                 for (to, payload) in sends {
                     let tagged = Tagged {
-                        instance,
+                        instance: index as u32,
                         payload: payload.to_vec(),
                     };
                     ctx.send_bytes(to, Bytes::from(tagged.encode_to_vec()));
@@ -244,36 +152,19 @@ where
                     }
                 }
             }
+            // Only waiting instances are still registered; the rest are
+            // no-ops.
             for (index, inbox) in inboxes.into_iter().enumerate() {
-                if waiting[index] {
-                    waiting[index] = false;
-                    let _ = inbox_txs[index].send(inbox);
-                }
+                instances.deliver(index as u64, inbox);
             }
         }
 
-        // Join EVERY instance before surfacing a panic (the TcpCluster
-        // join discipline): stopping at the first failure would drop the
-        // surviving instances' results and could leave them blocked.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        let mut outputs = Vec::with_capacity(k);
-        let mut first_panic = None;
-        for res in joined {
-            match res {
-                Ok(out) => outputs.push(out),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
         if let Some(payload) = first_panic {
             // Re-raise the ORIGINAL payload so callers see the real
             // failure, not a generic "instance panicked".
             std::panic::resume_unwind(payload);
         }
-        outputs
+        outputs.into_iter().flatten().collect()
     })
 }
 

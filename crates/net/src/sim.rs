@@ -1,18 +1,14 @@
 //! Deterministic lock-step simulator.
 
-use std::any::Any;
-use std::collections::BTreeSet;
-use std::panic::{self, AssertUnwindSafe};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink, ROOT_SCOPE};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-
-use std::collections::BTreeMap;
 
 use crate::adversary::{Adversary, RoundView, Silent};
 use crate::delay::EdgeDelays;
+use crate::lockstep::{panic_message, Lockstep, Report};
 use crate::{Comm, Inbox, Metrics, PartyId};
 
 /// How a party participates in a run.
@@ -73,7 +69,7 @@ pub struct Sim {
     delay_model: Option<DelayModel>,
 }
 
-/// Per-run state of the seeded delay injection (see [`crate::DelayedSim`]).
+/// Per-run state of the seeded delay injection (see [`Sim::with_delays`]).
 struct DelayModel {
     delays: EdgeDelays,
     /// Round length in delay time units; a sampled delay `d` postpones
@@ -107,11 +103,16 @@ impl Sim {
     }
 
     /// Routes every protocol send through a seeded [`EdgeDelays`] sampler:
-    /// delivery is postponed by `⌊delay/delta⌋` rounds (or dropped). Used
-    /// via [`crate::DelayedSim`]; breaks the perfect-synchrony guarantee
-    /// on purpose.
+    /// a message sent in round `r` with sampled delay `d` arrives at round
+    /// `r + ⌊d/delta⌋`, or is dropped (`delta = 0` is treated as 1).
+    ///
+    /// This breaks the synchronous model on purpose: protocols that
+    /// assume "everything sent in round r is in round r's inbox" will see
+    /// stale or missing values. Quorum-waiting protocols are the intended
+    /// tenants. Dropped messages are still metered as sent: the bits hit
+    /// the wire; the network ate them.
     #[must_use]
-    pub(crate) fn with_delay_model(mut self, delays: EdgeDelays, delta: u64) -> Self {
+    pub fn with_delays(mut self, delays: EdgeDelays, delta: u64) -> Self {
         self.delay_model = Some(DelayModel {
             delays,
             delta: delta.max(1),
@@ -194,24 +195,10 @@ impl Sim {
         O: Send,
         F: Fn(&mut dyn Comm, PartyId) -> O + Sync,
     {
-        install_quiet_shutdown_hook();
         let n = self.n;
         let t = self.t;
         let sink = Arc::clone(&self.sink);
         let tracing = sink.enabled();
-        let (submit_tx, submit_rx) = unbounded::<Submission<O>>();
-        let mut deliver_txs: Vec<Option<Sender<Directive>>> = Vec::with_capacity(n);
-        let mut deliver_rxs: Vec<Option<Receiver<Directive>>> = Vec::with_capacity(n);
-        for mode in &self.corruption {
-            if *mode == Corruption::Scripted {
-                deliver_txs.push(None);
-                deliver_rxs.push(None);
-            } else {
-                let (tx, rx) = unbounded();
-                deliver_txs.push(Some(tx));
-                deliver_rxs.push(Some(rx));
-            }
-        }
 
         let mut report = RunReport {
             outputs: (0..n).map(|_| None).collect(),
@@ -220,65 +207,16 @@ impl Sim {
         };
 
         std::thread::scope(|scope| {
-            // If the executor exits this closure by ANY path — including a
-            // panic (budget violation, protocol-bug propagation) — every
-            // party thread must be released from its round barrier, or the
-            // scope's implicit join would deadlock.
-            struct ShutdownGuard<'a>(&'a [Option<Sender<Directive>>]);
-            impl Drop for ShutdownGuard<'_> {
-                fn drop(&mut self) {
-                    for tx in self.0.iter().flatten() {
-                        let _ = tx.send(Directive::Shutdown);
-                    }
+            // Dropped on every exit path, panics included: that releases
+            // every party thread before the scope joins it.
+            let mut parties = Lockstep::new(scope, n, t, tracing, n);
+            // Spawn protocol threads (honest + lying-honest parties).
+            for (i, mode) in self.corruption.iter().enumerate() {
+                if *mode != Corruption::Scripted {
+                    let party = &party;
+                    parties.spawn(i as u64, PartyId(i), move |ctx| party(ctx, PartyId(i)));
                 }
             }
-            let _guard = ShutdownGuard(&deliver_txs);
-
-            // Spawn protocol threads (honest + lying-honest parties).
-            for (i, rx) in deliver_rxs.into_iter().enumerate() {
-                let Some(rx) = rx else { continue };
-                let submit_tx = submit_tx.clone();
-                let party = &party;
-                scope.spawn(move || {
-                    let mut ctx = PartyCtx {
-                        n,
-                        t,
-                        me: PartyId(i),
-                        pending: Vec::new(),
-                        scopes: Vec::new(),
-                        submit_tx: submit_tx.clone(),
-                        deliver_rx: rx,
-                        round: 0,
-                        trace_on: tracing,
-                        trace_buf: Vec::new(),
-                    };
-                    let result =
-                        panic::catch_unwind(AssertUnwindSafe(|| party(&mut ctx, PartyId(i))));
-                    match result {
-                        Ok(output) => {
-                            let _ = submit_tx.send(Submission::Done {
-                                from: i,
-                                output,
-                                sends: std::mem::take(&mut ctx.pending),
-                                trace: std::mem::take(&mut ctx.trace_buf),
-                            });
-                        }
-                        Err(payload) => {
-                            if payload.downcast_ref::<NetShutdown>().is_some() {
-                                // Executor-initiated teardown; exit quietly.
-                            } else {
-                                let _ = submit_tx.send(Submission::Panicked {
-                                    from: i,
-                                    // `as_ref()`: `&payload` would unsize-coerce the Box
-                                    // itself to `&dyn Any` and every downcast would miss.
-                                    info: panic_message(payload.as_ref()),
-                                });
-                            }
-                        }
-                    }
-                });
-            }
-            drop(submit_tx);
 
             let mut corrupted: BTreeSet<PartyId> = self
                 .corruption
@@ -286,10 +224,6 @@ impl Sim {
                 .enumerate()
                 .filter(|(_, c)| **c != Corruption::Honest)
                 .map(|(i, _)| PartyId(i))
-                .collect();
-            // Parties whose protocol thread is still running.
-            let mut live: BTreeSet<usize> = (0..n)
-                .filter(|i| self.corruption[*i] != Corruption::Scripted)
                 .collect();
             let mut round: u64 = 0;
 
@@ -322,65 +256,47 @@ impl Sim {
                     });
                 }
 
-                // --- Collect one submission from every live thread. ---
+                // --- Collect one report from every live party, in id order. ---
                 let mut waiting: Vec<usize> = Vec::new();
                 let mut sends: Vec<(usize, Vec<(PartyId, Bytes)>)> = Vec::new();
                 let mut scopes: Vec<(usize, String)> = Vec::new();
-                let mut party_traces: Vec<(usize, Vec<Record>)> = Vec::new();
-                let mut expected = live.clone();
-                while !expected.is_empty() {
-                    // ca-lint: allow(panic-path) — in-process simulator channel, not a network path
-                    let sub = submit_rx.recv().expect("live parties hold senders");
-                    match sub {
-                        Submission::Round {
-                            from,
-                            sends: s,
+                for (key, submitted) in parties.collect() {
+                    let from = key as usize;
+                    let (s, trace) = match submitted {
+                        Report::Round {
+                            sends,
                             scope,
                             trace,
                         } => {
-                            // Stray submissions from adaptively-corrupted
-                            // zombies are discarded.
-                            if !expected.remove(&from) {
-                                continue;
-                            }
                             waiting.push(from);
                             scopes.push((from, scope));
-                            sends.push((from, s));
-                            party_traces.push((from, trace));
+                            (sends, trace)
                         }
-                        Submission::Done {
-                            from,
+                        Report::Done {
                             output,
-                            sends: s,
+                            sends,
                             trace,
                         } => {
-                            if !expected.remove(&from) {
-                                continue;
-                            }
-                            live.remove(&from);
                             if !corrupted.contains(&PartyId(from)) {
                                 report.outputs[from] = Some(output);
                             }
-                            sends.push((from, s));
-                            party_traces.push((from, trace));
+                            (sends, trace)
                         }
-                        Submission::Panicked { from, info } => {
-                            // ca-lint: allow(panic-path) — the simulator deliberately surfaces
-                            panic!("party P{from} panicked: {info}"); // a party-thread panic to the driving test
+                        Report::Panicked { payload } => {
+                            // The simulator deliberately surfaces a
+                            // party-thread panic to the driving test.
+                            // ca-lint: allow(panic-path) — see above
+                            panic!(
+                                "party P{from} panicked: {}",
+                                panic_message(payload.as_ref())
+                            );
                         }
-                    }
-                }
-                sends.sort_by_key(|(from, _)| *from);
-                waiting.sort_unstable();
-
-                // Flush party-buffered records in id order: submission
-                // arrival order is scheduler-dependent, this is not.
-                if tracing {
-                    party_traces.sort_by_key(|(from, _)| *from);
-                    for (_, records) in &party_traces {
-                        for r in records {
-                            sink.record(r);
-                        }
+                    };
+                    sends.push((from, s));
+                    // Party-buffered records flush in id order: arrival
+                    // order is scheduler-dependent, this is not.
+                    for r in &trace {
+                        sink.record(r);
                     }
                 }
 
@@ -423,11 +339,7 @@ impl Sim {
                         }
                         report.outputs[p.0] = None;
                         // Tear down the party's thread if it is still running.
-                        if live.remove(&p.0) {
-                            if let Some(tx) = &deliver_txs[p.0] {
-                                let _ = tx.send(Directive::Shutdown);
-                            }
-                        }
+                        parties.release(p.0 as u64);
                     }
                 }
 
@@ -581,13 +493,10 @@ impl Sim {
                     });
                 }
 
-                // --- Deliver. ---
+                // --- Deliver. --- Only waiting, uncorrupted parties are
+                // still registered; the rest are no-ops.
                 for (i, inbox) in inboxes.into_iter().enumerate() {
-                    if waiting.contains(&i) {
-                        if let Some(tx) = &deliver_txs[i] {
-                            let _ = tx.send(Directive::Deliver(inbox));
-                        }
-                    }
+                    parties.deliver(i as u64, inbox);
                 }
 
                 round += 1;
@@ -598,178 +507,11 @@ impl Sim {
                 );
             }
 
-            // Tear down any remaining threads (e.g. zombies of adaptive
-            // corruption that were mid-computation).
-            for tx in deliver_txs.iter().flatten() {
-                let _ = tx.send(Directive::Shutdown);
-            }
             report.corrupted = corrupted.into_iter().collect();
         });
 
         sink.flush();
         report
-    }
-}
-
-/// Panic payload used for executor-initiated thread teardown.
-struct NetShutdown;
-
-/// Executor-initiated teardown unwinds party threads via a `NetShutdown`
-/// panic that is always caught; the default panic hook would still print a
-/// scary backtrace for each torn-down zombie (e.g. under adaptive
-/// corruption). Install, once, a wrapper hook that stays silent for
-/// exactly that payload.
-fn install_quiet_shutdown_hook() {
-    use std::sync::Once;
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<NetShutdown>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_owned()
-    }
-}
-
-enum Submission<O> {
-    Round {
-        from: usize,
-        sends: Vec<(PartyId, Bytes)>,
-        scope: String,
-        /// Trace records buffered by the party since its last submission.
-        trace: Vec<Record>,
-    },
-    Done {
-        from: usize,
-        output: O,
-        sends: Vec<(PartyId, Bytes)>,
-        trace: Vec<Record>,
-    },
-    Panicked {
-        from: usize,
-        info: String,
-    },
-}
-
-enum Directive {
-    Deliver(Inbox),
-    Shutdown,
-}
-
-struct PartyCtx<O> {
-    n: usize,
-    t: usize,
-    me: PartyId,
-    pending: Vec<(PartyId, Bytes)>,
-    scopes: Vec<String>,
-    submit_tx: Sender<Submission<O>>,
-    deliver_rx: Receiver<Directive>,
-    /// Executor round this party's upcoming events belong to.
-    round: u64,
-    /// Whether the run has a recording sink (copied from the executor so
-    /// the disabled path never allocates).
-    trace_on: bool,
-    /// Locally buffered records; shipped with the next submission and
-    /// flushed by the executor in canonical order.
-    trace_buf: Vec<Record>,
-}
-
-impl<O> PartyCtx<O> {
-    fn scope_path(&self) -> String {
-        if self.scopes.is_empty() {
-            ROOT_SCOPE.to_owned()
-        } else {
-            self.scopes.join("/")
-        }
-    }
-
-    fn buffer(&mut self, event: TraceEvent) {
-        let record = Record {
-            party: Some(self.me.0 as u64),
-            round: self.round,
-            scope: self.scope_path(),
-            event,
-        };
-        self.trace_buf.push(record);
-    }
-}
-
-impl<O> Comm for PartyCtx<O> {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn t(&self) -> usize {
-        self.t
-    }
-
-    fn me(&self) -> PartyId {
-        self.me
-    }
-
-    fn send_bytes(&mut self, to: PartyId, payload: Bytes) {
-        assert!(to.0 < self.n, "send to nonexistent {to}");
-        self.pending.push((to, payload));
-    }
-
-    fn next_round(&mut self) -> Inbox {
-        let sends = std::mem::take(&mut self.pending);
-        let scope = self.scope_path();
-        self.submit_tx
-            .send(Submission::Round {
-                from: self.me.0,
-                sends,
-                scope,
-                trace: std::mem::take(&mut self.trace_buf),
-            })
-            // ca-lint: allow(panic-path) — in-process simulator channel, not a network path
-            .expect("executor alive");
-        match self.deliver_rx.recv() {
-            Ok(Directive::Deliver(inbox)) => {
-                self.round += 1;
-                inbox
-            }
-            Ok(Directive::Shutdown) | Err(_) => panic::panic_any(NetShutdown),
-        }
-    }
-
-    fn push_scope(&mut self, name: &str) {
-        self.scopes.push(name.to_owned());
-        if self.trace_on {
-            self.buffer(TraceEvent::ScopeEnter {
-                name: name.to_owned(),
-            });
-        }
-    }
-
-    fn pop_scope(&mut self) {
-        let popped = self.scopes.pop();
-        if self.trace_on {
-            if let Some(name) = popped {
-                self.buffer(TraceEvent::ScopeExit { name });
-            }
-        }
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.trace_on
-    }
-
-    fn trace(&mut self, event: TraceEvent) {
-        if self.trace_on {
-            self.buffer(event);
-        }
     }
 }
 

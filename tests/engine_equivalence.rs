@@ -360,3 +360,66 @@ fn flooding_adversary_is_shed_without_corrupting_sessions() {
         );
     }
 }
+
+/// Adaptively corrupts `party` at `round`: from then on its sends are
+/// suppressed and the simulator tears its thread down.
+#[derive(Debug)]
+struct CorruptAt {
+    party: PartyId,
+    round: u64,
+}
+
+impl Adversary for CorruptAt {
+    fn on_round(&mut self, view: &RoundView<'_>) -> RoundActions {
+        let mut actions = RoundActions::default();
+        if view.round == self.round {
+            actions.corrupt.push(self.party);
+        }
+        actions
+    }
+}
+
+/// Teardown by disconnect: the simulator corrupts an engine-hosting party
+/// at round 2 of a K = 8 closed-loop deployment, while that party's driver
+/// waits at the transport barrier and all 8 of its session threads are
+/// parked on their inboxes. Releasing the party must unwind its driver
+/// and every session thread, so the run returns; the other honest parties
+/// must still decide all 8 sessions identically.
+#[test]
+fn adaptive_corruption_tears_down_parked_sessions() {
+    let n = 4;
+    let k = 8;
+    let victim = PartyId(1);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let plan = SessionPlan::closed(k);
+        let config = EngineConfig::default();
+        let report = Sim::new(n)
+            .with_adversary(CorruptAt {
+                party: victim,
+                round: 2,
+            })
+            .run(move |ctx, _id| {
+                run_engine_party(ctx, &plan, &config, |sctx, sid| {
+                    let input = Nat::from_u64(900 + 11 * sid.0 + sctx.me().index() as u64);
+                    pi_n(sctx, &input, BaKind::TurpinCoan)
+                })
+            });
+        let _ = done_tx.send(report);
+    });
+    let report = done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the run must return once the corrupted party is torn down");
+
+    assert_eq!(report.corrupted, vec![victim]);
+    assert!(report.outputs[victim.index()].is_none());
+    let outs = report.honest_outputs();
+    assert_eq!(outs.len(), n - 1);
+    for out in &outs {
+        let decided: Vec<u64> = out.decided.iter().map(|(s, _)| s.0).collect();
+        assert_eq!(decided, (0..k as u64).collect::<Vec<_>>());
+    }
+    for pair in outs.windows(2) {
+        assert_eq!(pair[0].decided, pair[1].decided, "parties disagree");
+    }
+}
