@@ -73,16 +73,17 @@ impl Replay {
 impl Adversary for Replay {
     fn on_round(&mut self, view: &RoundView<'_>) -> RoundActions {
         let mut actions = RoundActions::default();
-        if view.honest_sends.is_empty() {
+        let honest = view.honest_sends();
+        if honest.is_empty() {
             return actions;
         }
         for &from in view.corrupted {
             for to in 0..view.n {
-                let pick = self.rng.gen_range(0..view.honest_sends.len());
+                let pick = self.rng.gen_range(0..honest.len());
                 actions.sends.push(SendSpec {
                     from,
                     to: PartyId(to),
-                    payload: view.honest_sends[pick].2.clone(),
+                    payload: honest[pick].2.clone(),
                 });
             }
         }
@@ -111,14 +112,15 @@ impl Equivocate {
 impl Adversary for Equivocate {
     fn on_round(&mut self, view: &RoundView<'_>) -> RoundActions {
         let mut actions = RoundActions::default();
-        if view.honest_sends.is_empty() {
+        let honest = view.honest_sends();
+        if honest.is_empty() {
             return actions;
         }
         for &from in view.corrupted {
-            let a = self.rng.gen_range(0..view.honest_sends.len());
-            let b = self.rng.gen_range(0..view.honest_sends.len());
-            let low = view.honest_sends[a].2.clone();
-            let high = view.honest_sends[b].2.clone();
+            let a = self.rng.gen_range(0..honest.len());
+            let b = self.rng.gen_range(0..honest.len());
+            let low = honest[a].2.clone();
+            let high = honest[b].2.clone();
             for to in 0..view.n {
                 let payload = if to < view.n / 2 {
                     low.clone()

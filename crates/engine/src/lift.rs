@@ -56,7 +56,7 @@ impl Adversary for EnvelopeAdversary {
         // strategies observe exactly what an isolated run would show them.
         let mut per_session: BTreeMap<u64, Vec<(PartyId, PartyId, Bytes)>> =
             self.inner.keys().map(|sid| (*sid, Vec::new())).collect();
-        for (from, to, payload) in view.honest_sends {
+        for (from, to, payload) in view.honest_sends() {
             let Ok(env) = Envelope::decode_from_slice(payload) else {
                 continue;
             };
@@ -69,14 +69,8 @@ impl Adversary for EnvelopeAdversary {
 
         let mut actions = RoundActions::default();
         for (sid, adv) in &mut self.inner {
-            let honest_sends = &per_session[sid];
-            let sub_view = RoundView {
-                n: view.n,
-                t: view.t,
-                round: view.round,
-                corrupted: view.corrupted,
-                honest_sends,
-            };
+            let honest_sends = per_session.remove(sid).unwrap_or_default();
+            let sub_view = RoundView::new(view.n, view.t, view.round, view.corrupted, honest_sends);
             let sub = adv.on_round(&sub_view);
             for p in sub.corrupt {
                 if !actions.corrupt.contains(&p) {
@@ -115,7 +109,7 @@ mod tests {
     impl Adversary for Probe {
         fn on_round(&mut self, view: &RoundView<'_>) -> RoundActions {
             let got: Vec<(PartyId, PartyId, Vec<u8>)> = view
-                .honest_sends
+                .honest_sends()
                 .iter()
                 .map(|(f, t, p)| (*f, *t, p.to_vec()))
                 .collect();
@@ -159,13 +153,7 @@ mod tests {
             (PartyId(0), PartyId(1), Bytes::from(env.encode_to_vec())),
             (PartyId(1), PartyId(0), Bytes::from_static(b"junk")),
         ];
-        let view = RoundView {
-            n: 3,
-            t: 1,
-            round: 0,
-            corrupted: &[PartyId(2)],
-            honest_sends: &honest,
-        };
+        let view = RoundView::new(3, 1, 0, &[PartyId(2)], honest);
         let actions = lift.on_round(&view);
 
         // The probe's send came back wrapped as a session-1 envelope.

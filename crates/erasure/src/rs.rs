@@ -24,6 +24,10 @@ use crate::gf::{Gf, MulTable, ORDER};
 /// the whole coefficient sweep of a row.
 const STRIPE_BLOCK: usize = 8192;
 
+/// Columns shorter than this multiply symbol by symbol: building a
+/// 1 KiB [`MulTable`] costs more than it saves on a few dozen symbols.
+const SHORT_COLUMN: usize = 64;
+
 /// One of the `n` codewords produced by [`ReedSolomon::encode`]
 /// (the paper's `sᵢ`).
 ///
@@ -501,7 +505,8 @@ impl ReedSolomon {
 
 /// `acc[i] ^= coeff · col[i]` with the zero/one fast paths: zero
 /// coefficients are skipped outright and unit coefficients take a plain
-/// XOR (no table build, no lookups).
+/// XOR (no table build, no lookups). Columns shorter than
+/// [`SHORT_COLUMN`] use scalar multiplication instead of a table.
 #[inline]
 fn accumulate(acc: &mut [Gf], coeff: Gf, col: &[Gf]) {
     if coeff == Gf::ZERO {
@@ -510,6 +515,12 @@ fn accumulate(acc: &mut [Gf], coeff: Gf, col: &[Gf]) {
     if coeff == Gf::ONE {
         for (a, &x) in acc.iter_mut().zip(col) {
             *a = a.add(x);
+        }
+        return;
+    }
+    if col.len() < SHORT_COLUMN {
+        for (a, &x) in acc.iter_mut().zip(col) {
+            *a = a.add(coeff.mul(x));
         }
         return;
     }
@@ -775,6 +786,34 @@ mod tests {
             );
             assert_eq!(rs.decode(&subset).unwrap(), data, "stripes = {stripes}");
         }
+    }
+
+    #[test]
+    fn short_columns_match_scalar() {
+        // Every stripe count from 1 to twice SHORT_COLUMN, so both the
+        // scalar short-column path and the table path around the cut-over
+        // are checked against the oracle, on a parity-only subset.
+        let rs = ReedSolomon::new(5, 3).unwrap();
+        let mut covered = std::collections::BTreeSet::new();
+        for len in 0..2 * SHORT_COLUMN * 6 {
+            let data: Vec<u8> = (0..len as u32)
+                .map(|i| i.wrapping_mul(2654435761) as u8)
+                .collect();
+            let blocked = rs.encode(&data);
+            assert_eq!(blocked, rs.encode_scalar(&data), "len = {len}");
+            covered.insert(blocked[0].len());
+            let subset: Vec<_> = [2usize, 3, 4]
+                .iter()
+                .map(|&i| (i, blocked[i].clone()))
+                .collect();
+            assert_eq!(
+                rs.decode(&subset).unwrap(),
+                rs.decode_scalar(&subset).unwrap(),
+                "len = {len}"
+            );
+            assert_eq!(rs.decode(&subset).unwrap(), data, "len = {len}");
+        }
+        assert!((1..=2 * SHORT_COLUMN).all(|s| covered.contains(&s)));
     }
 
     proptest! {

@@ -1,5 +1,7 @@
 //! The adversary interface (paper §2: adaptive, rushing, up to `t < n/3`).
 
+use std::cell::OnceCell;
+
 use bytes::Bytes;
 
 use crate::PartyId;
@@ -16,6 +18,10 @@ pub struct SendSpec {
     pub payload: Bytes,
 }
 
+/// One sender's sends of a round, in send order, as the executor
+/// collected them.
+pub(crate) type Batch = (PartyId, Vec<(PartyId, Bytes)>);
+
 /// What the adversary sees when it is invoked for round `r`.
 ///
 /// Invocation happens *after* the honest parties have committed their
@@ -31,21 +37,82 @@ pub struct RoundView<'a> {
     pub round: u64,
     /// Parties currently corrupted (sorted).
     pub corrupted: &'a [PartyId],
-    /// Every honest message of this round as `(from, to, payload)`,
-    /// ordered by sender. Messages addressed to corrupted parties are
-    /// included — the adversary reads all its parties' channels.
-    pub honest_sends: &'a [(PartyId, PartyId, Bytes)],
+    /// The simulator's sender batches, read on the first
+    /// [`RoundView::honest_sends`] call.
+    batches: &'a [Batch],
+    /// The flat honest-send list, built at most once.
+    honest_sends: OnceCell<Vec<(PartyId, PartyId, Bytes)>>,
 }
 
-impl RoundView<'_> {
+impl<'a> RoundView<'a> {
+    /// A view whose honest round-`r` messages are `honest_sends`, given
+    /// as `(from, to, payload)` ordered by sender (e.g. one session's
+    /// share of a multiplexed round).
+    pub fn new(
+        n: usize,
+        t: usize,
+        round: u64,
+        corrupted: &'a [PartyId],
+        honest_sends: Vec<(PartyId, PartyId, Bytes)>,
+    ) -> Self {
+        Self {
+            n,
+            t,
+            round,
+            corrupted,
+            batches: &[],
+            honest_sends: OnceCell::from(honest_sends),
+        }
+    }
+
+    /// The simulator's view: the honest list is built from `batches`
+    /// (ascending sender) only if the adversary asks for it.
+    pub(crate) fn rushing(
+        n: usize,
+        t: usize,
+        round: u64,
+        corrupted: &'a [PartyId],
+        batches: &'a [Batch],
+    ) -> Self {
+        Self {
+            n,
+            t,
+            round,
+            corrupted,
+            batches,
+            honest_sends: OnceCell::new(),
+        }
+    }
+
+    /// Every honest message of this round as `(from, to, payload)`,
+    /// ordered by sender and then by send order, self-sends included.
+    /// Messages addressed to corrupted parties are included — the
+    /// adversary reads all its parties' channels.
+    pub fn honest_sends(&self) -> &[(PartyId, PartyId, Bytes)] {
+        self.honest_sends.get_or_init(|| {
+            self.batches
+                .iter()
+                .filter(|(from, _)| self.corrupted.binary_search(from).is_err())
+                .flat_map(|(from, msgs)| {
+                    msgs.iter()
+                        .map(|(to, payload)| (*from, *to, payload.clone()))
+                })
+                .collect()
+        })
+    }
+
     /// Honest round-`r` messages addressed to `to`.
     pub fn sends_to(&self, to: PartyId) -> impl Iterator<Item = &(PartyId, PartyId, Bytes)> {
-        self.honest_sends.iter().filter(move |(_, t2, _)| *t2 == to)
+        self.honest_sends()
+            .iter()
+            .filter(move |(_, t2, _)| *t2 == to)
     }
 
     /// Honest round-`r` messages originating from `from`.
     pub fn sends_from(&self, from: PartyId) -> impl Iterator<Item = &(PartyId, PartyId, Bytes)> {
-        self.honest_sends.iter().filter(move |(f, _, _)| *f == from)
+        self.honest_sends()
+            .iter()
+            .filter(move |(f, _, _)| *f == from)
     }
 
     /// Parties not currently corrupted, ascending.

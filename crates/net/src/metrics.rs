@@ -65,20 +65,31 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Records an honest send of `bytes` payload bytes under `scope`.
-    pub fn record_honest_send(&mut self, scope: &str, bytes: usize) {
-        let bits = 8 * bytes as u64;
+    /// Records one honest sender's round under `scope`: one message of
+    /// each given payload length (self-deliveries excluded by the caller).
+    /// A batch with no messages records nothing.
+    pub fn record_honest_sends(&mut self, scope: &str, lens: impl IntoIterator<Item = usize>) {
+        let mut lens = lens.into_iter().peekable();
+        if lens.peek().is_none() {
+            return;
+        }
+        let (mut bits, mut msgs) = (0, 0);
+        let msg_bytes = &mut self.msg_bytes;
+        in_scope(&mut self.scope_msg_bytes, scope, |hist| {
+            for len in lens {
+                hist.record(len as u64);
+                msg_bytes.record(len as u64);
+                bits += 8 * len as u64;
+                msgs += 1;
+            }
+        });
         self.honest_bits += bits;
-        self.honest_msgs += 1;
+        self.honest_msgs += msgs;
         self.bits_this_round += bits;
-        self.msg_bytes.record(bytes as u64);
-        let entry = self.per_scope.entry(scope.to_owned()).or_default();
-        entry.honest_bits += bits;
-        entry.honest_msgs += 1;
-        self.scope_msg_bytes
-            .entry(scope.to_owned())
-            .or_default()
-            .record(bytes as u64);
+        in_scope(&mut self.per_scope, scope, |entry| {
+            entry.honest_bits += bits;
+            entry.honest_msgs += msgs;
+        });
     }
 
     /// Records a corrupted-party send.
@@ -89,7 +100,7 @@ impl Metrics {
     /// Records one completed round attributed to `scope`.
     pub fn record_round(&mut self, scope: &str) {
         self.rounds += 1;
-        self.per_scope.entry(scope.to_owned()).or_default().rounds += 1;
+        in_scope(&mut self.per_scope, scope, |entry| entry.rounds += 1);
         self.round_bits.record(self.bits_this_round);
         self.bits_this_round = 0;
     }
@@ -127,6 +138,15 @@ impl Metrics {
     }
 }
 
+/// Runs `f` on `scope`'s entry of `map`, creating it only if absent, so
+/// the hot path allocates no key.
+fn in_scope<V: Default>(map: &mut BTreeMap<String, V>, scope: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(scope) {
+        Some(v) => f(v),
+        None => f(map.entry(scope.to_owned()).or_default()),
+    }
+}
+
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -152,10 +172,10 @@ mod tests {
     #[test]
     fn scope_subtree_sums_children() {
         let mut m = Metrics::default();
-        m.record_honest_send("a/b", 10);
-        m.record_honest_send("a/c", 5);
-        m.record_honest_send("a", 1);
-        m.record_honest_send("ab", 100); // must NOT match prefix "a"
+        m.record_honest_sends("a/b", [10]);
+        m.record_honest_sends("a/c", [5]);
+        m.record_honest_sends("a", [1]);
+        m.record_honest_sends("ab", [100]); // must NOT match prefix "a"
         let sub = m.scope_subtree("a");
         assert_eq!(sub.honest_bits, 8 * 16);
         assert_eq!(sub.honest_msgs, 3);
@@ -164,10 +184,9 @@ mod tests {
     #[test]
     fn histograms_track_sends_and_rounds() {
         let mut m = Metrics::default();
-        m.record_honest_send("a", 10);
-        m.record_honest_send("a", 100);
+        m.record_honest_sends("a", [10, 100]);
         m.record_round("a");
-        m.record_honest_send("b", 1);
+        m.record_honest_sends("b", [1]);
         m.record_round("b");
         assert_eq!(m.msg_bytes.count(), 3);
         assert_eq!(m.msg_bytes.max(), 100);
@@ -179,22 +198,29 @@ mod tests {
     }
 
     #[test]
+    fn empty_batch_records_nothing() {
+        let mut m = Metrics::default();
+        m.record_honest_sends("a", []);
+        assert_eq!(m, Metrics::default());
+    }
+
+    #[test]
     fn metrics_equality_is_field_exact() {
         let mut a = Metrics::default();
         let mut b = Metrics::default();
-        a.record_honest_send("x", 4);
+        a.record_honest_sends("x", [4]);
         assert_ne!(a, b);
-        b.record_honest_send("x", 4);
+        b.record_honest_sends("x", [4]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn absorb_merges() {
         let mut a = Metrics::default();
-        a.record_honest_send("x", 1);
+        a.record_honest_sends("x", [1]);
         a.record_round("x");
         let mut b = Metrics::default();
-        b.record_honest_send("x", 2);
+        b.record_honest_sends("x", [2]);
         b.record_adversary_send(4);
         a.absorb(&b);
         assert_eq!(a.honest_bits, 24);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink, ROOT_SCOPE};
 
-use crate::adversary::{Adversary, RoundView, Silent};
+use crate::adversary::{Adversary, Batch, RoundView, Silent};
 use crate::delay::EdgeDelays;
 use crate::lockstep::{panic_message, Lockstep, Report};
 use crate::{Comm, Inbox, Metrics, PartyId};
@@ -257,9 +257,9 @@ impl Sim {
                 }
 
                 // --- Collect one report from every live party, in id order. ---
-                let mut waiting: Vec<usize> = Vec::new();
-                let mut sends: Vec<(usize, Vec<(PartyId, Bytes)>)> = Vec::new();
-                let mut scopes: Vec<(usize, String)> = Vec::new();
+                // `scopes[p]` is `Some` iff party `p` waits at the barrier.
+                let mut scopes: Vec<Option<String>> = vec![None; n];
+                let mut batches: Vec<Batch> = Vec::new();
                 for (key, submitted) in parties.collect() {
                     let from = key as usize;
                     let (s, trace) = match submitted {
@@ -268,8 +268,7 @@ impl Sim {
                             scope,
                             trace,
                         } => {
-                            waiting.push(from);
-                            scopes.push((from, scope));
+                            scopes[from] = Some(scope);
                             (sends, trace)
                         }
                         Report::Done {
@@ -292,7 +291,7 @@ impl Sim {
                             );
                         }
                     };
-                    sends.push((from, s));
+                    batches.push((PartyId(from), s));
                     // Party-buffered records flush in id order: arrival
                     // order is scheduler-dependent, this is not.
                     for r in &trace {
@@ -300,24 +299,16 @@ impl Sim {
                     }
                 }
 
-                // --- Rushing adversary phase. ---
-                let honest_sends: Vec<(PartyId, PartyId, Bytes)> = sends
-                    .iter()
-                    .filter(|(from, _)| !corrupted.contains(&PartyId(*from)))
-                    .flat_map(|(from, msgs)| {
-                        msgs.iter()
-                            .map(|(to, payload)| (PartyId(*from), *to, payload.clone()))
-                    })
-                    .collect();
+                // --- Rushing adversary phase. --- The view borrows the
+                // batches; the flat honest list is built only on demand.
                 let corrupted_list: Vec<PartyId> = corrupted.iter().copied().collect();
-                let view = RoundView {
+                let actions = self.adversary.on_round(&RoundView::rushing(
                     n,
                     t,
                     round,
-                    corrupted: &corrupted_list,
-                    honest_sends: &honest_sends,
-                };
-                let actions = self.adversary.on_round(&view);
+                    &corrupted_list,
+                    &batches,
+                ));
 
                 // Adaptive corruptions take effect this round.
                 for p in actions.corrupt {
@@ -343,8 +334,18 @@ impl Sim {
                     }
                 }
 
-                // --- Metering + delivery assembly. ---
-                let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::with_parties(n)).collect();
+                // --- Metering + delivery assembly. --- Payloads move from
+                // the batches into the inboxes; each sender is metered once.
+                let mut fan_in = vec![0usize; n];
+                for (_, msgs) in &batches {
+                    for (to, _) in msgs {
+                        fan_in[to.0] += 1;
+                    }
+                }
+                let mut inboxes: Vec<Inbox> = fan_in
+                    .into_iter()
+                    .map(|m| Inbox::with_capacity(n, m))
+                    .collect();
                 // (receiver, sender, bytes) for this round's deliveries, in
                 // assembly order — traced after the send events.
                 let mut deliveries: Vec<(usize, usize, u64)> = Vec::new();
@@ -352,75 +353,73 @@ impl Sim {
                 // has come are delivered first (they were sent earlier).
                 if let Some(model) = self.delay_model.as_mut() {
                     for (from, to, payload) in model.held.remove(&round).unwrap_or_default() {
-                        deliveries.push((to.0, from.0, payload.len() as u64));
+                        if tracing {
+                            deliveries.push((to.0, from.0, payload.len() as u64));
+                        }
                         inboxes[to.0].push(from, payload);
                     }
                 }
-                for (from, msgs) in &sends {
-                    let from_id = PartyId(*from);
-                    let is_corrupt = corrupted.contains(&from_id);
-                    if is_corrupt && self.corruption[*from] != Corruption::LyingHonest {
+                for (from, msgs) in batches {
+                    let is_corrupt = corrupted.contains(&from);
+                    if is_corrupt && self.corruption[from.0] != Corruption::LyingHonest {
                         // Adaptively corrupted this round: its honest sends are
                         // suppressed (the adversary replaces them). Lying
                         // parties' sends still flow — they *are* the attack.
                         continue;
                     }
-                    let scope = scopes
-                        .iter()
-                        .find(|(p, _)| p == from)
-                        .map(|(_, s)| s.as_str())
-                        .unwrap_or(ROOT_SCOPE);
-                    for (to, payload) in msgs {
-                        if *to != from_id {
-                            // Self-delivery is free on a real network.
-                            if is_corrupt {
-                                report.metrics.record_adversary_send(payload.len());
-                            } else {
-                                report.metrics.record_honest_send(scope, payload.len());
-                            }
-                            if tracing {
-                                sink.record(&Record {
-                                    party: Some(*from as u64),
-                                    round,
-                                    scope: if is_corrupt {
-                                        ca_trace::ADVERSARY_SCOPE.to_owned()
-                                    } else {
-                                        scope.to_owned()
-                                    },
-                                    event: TraceEvent::Send {
-                                        to: to.0 as u64,
-                                        bytes: payload.len() as u64,
-                                    },
-                                });
-                            }
+                    let scope = scopes[from.0].as_deref().unwrap_or(ROOT_SCOPE);
+                    // Self-delivery is free on a real network.
+                    let wire = msgs.iter().filter(|(to, _)| *to != from);
+                    if is_corrupt {
+                        for (_, payload) in wire {
+                            report.metrics.record_adversary_send(payload.len());
                         }
-                        if to.0 < n {
-                            let mut arrival = round;
-                            if let Some(model) = self.delay_model.as_mut() {
-                                if *to != from_id {
-                                    let seq = model.seq;
-                                    model.seq += 1;
-                                    match model.delays.sample(*from, to.0, seq) {
-                                        // Dropped on the wire; the send was
-                                        // already metered and traced above.
-                                        None => continue,
-                                        Some(d) => arrival = round + d / model.delta,
-                                    }
+                    } else {
+                        report
+                            .metrics
+                            .record_honest_sends(scope, wire.map(|(_, payload)| payload.len()));
+                    }
+                    for (to, payload) in msgs {
+                        if tracing && to != from {
+                            sink.record(&Record {
+                                party: Some(from.0 as u64),
+                                round,
+                                scope: if is_corrupt {
+                                    ca_trace::ADVERSARY_SCOPE.to_owned()
+                                } else {
+                                    scope.to_owned()
+                                },
+                                event: TraceEvent::Send {
+                                    to: to.0 as u64,
+                                    bytes: payload.len() as u64,
+                                },
+                            });
+                        }
+                        let mut arrival = round;
+                        if let Some(model) = self.delay_model.as_mut() {
+                            if to != from {
+                                let seq = model.seq;
+                                model.seq += 1;
+                                match model.delays.sample(from.0, to.0, seq) {
+                                    // Dropped on the wire; the send was
+                                    // already metered and traced above.
+                                    None => continue,
+                                    Some(d) => arrival = round + d / model.delta,
                                 }
                             }
                             if arrival > round {
-                                if let Some(model) = self.delay_model.as_mut() {
-                                    model.held.entry(arrival).or_default().push((
-                                        from_id,
-                                        *to,
-                                        payload.clone(),
-                                    ));
-                                }
-                            } else {
-                                inboxes[to.0].push(from_id, payload.clone());
-                                deliveries.push((to.0, *from, payload.len() as u64));
+                                model
+                                    .held
+                                    .entry(arrival)
+                                    .or_default()
+                                    .push((from, to, payload));
+                                continue;
                             }
                         }
+                        if tracing {
+                            deliveries.push((to.0, from.0, payload.len() as u64));
+                        }
+                        inboxes[to.0].push(from, payload);
                     }
                 }
                 for spec in actions.sends {
@@ -441,12 +440,12 @@ impl Sim {
                                 bytes: spec.payload.len() as u64,
                             },
                         });
+                        deliveries.push((spec.to.0, spec.from.0, spec.payload.len() as u64));
                     }
-                    deliveries.push((spec.to.0, spec.from.0, spec.payload.len() as u64));
                     inboxes[spec.to.0].push(spec.from, spec.payload);
                 }
 
-                if waiting.is_empty() {
+                if scopes.iter().all(Option::is_none) {
                     // Nobody is blocked on a round boundary: the protocol is over.
                     break 'rounds;
                 }
@@ -454,31 +453,26 @@ impl Sim {
                 // Round attribution: innermost scope of the lowest-id honest
                 // waiting party (all honest parties of a lock-step protocol
                 // share the same scope).
-                let round_scope = waiting
+                let round_scope = scopes
                     .iter()
-                    .find(|p| !corrupted.contains(&PartyId(**p)))
-                    .and_then(|p| scopes.iter().find(|(q, _)| q == p))
-                    .map(|(_, s)| s.clone())
-                    .unwrap_or_else(|| ROOT_SCOPE.to_owned());
-                report.metrics.record_round(&round_scope);
+                    .enumerate()
+                    .find(|(p, s)| s.is_some() && !corrupted.contains(&PartyId(*p)))
+                    .and_then(|(_, s)| s.as_deref())
+                    .unwrap_or(ROOT_SCOPE);
+                report.metrics.record_round(round_scope);
 
                 // Deliveries reach only the parties still at the barrier;
                 // stamp each with the receiver's submitted scope.
                 if tracing {
-                    let mut ordered = deliveries;
-                    ordered.sort_by_key(|&(to, _, _)| to);
-                    for (to, from, bytes) in ordered {
-                        if !waiting.contains(&to) {
+                    deliveries.sort_by_key(|&(to, _, _)| to);
+                    for (to, from, bytes) in deliveries {
+                        let Some(scope) = &scopes[to] else {
                             continue;
-                        }
-                        let scope = scopes
-                            .iter()
-                            .find(|(p, _)| *p == to)
-                            .map_or(ROOT_SCOPE, |(_, s)| s.as_str());
+                        };
                         sink.record(&Record {
                             party: Some(to as u64),
                             round,
-                            scope: scope.to_owned(),
+                            scope: scope.clone(),
                             event: TraceEvent::Deliver {
                                 from: from as u64,
                                 bytes,
@@ -488,7 +482,7 @@ impl Sim {
                     sink.record(&Record {
                         party: None,
                         round,
-                        scope: round_scope.clone(),
+                        scope: round_scope.to_owned(),
                         event: TraceEvent::RoundEnd,
                     });
                 }
@@ -804,6 +798,67 @@ mod tests {
             .with_trace(Arc::new(ca_trace::RingBufferSink::new(1 << 16)))
             .run(body);
         assert_eq!(plain.metrics, traced.metrics);
+    }
+
+    /// The rushing view lists every honest send of the round, by sender
+    /// and then in send order, self-sends included. The lying party P6 is
+    /// never in it; P1, corrupted at round 1, is in round 1's view (its
+    /// sends were committed before the corruption) and gone from round 2.
+    #[test]
+    fn rushing_view_lists_honest_sends_in_sender_then_send_order() {
+        type Seen = Vec<(u64, Vec<(PartyId, PartyId, Vec<u8>)>)>;
+        let n = 7;
+        let expected: Seen = (0..4u64)
+            .map(|r| {
+                let mut list = Vec::new();
+                for s in (0..n).filter(|&s| s != 6 && (s != 1 || r <= 1)) {
+                    for to in (0..n).rev() {
+                        list.push((PartyId(s), PartyId(to), vec![s as u8, r as u8, to as u8]));
+                    }
+                    list.push((PartyId(s), PartyId(0), vec![s as u8, r as u8, 99]));
+                }
+                (r, list)
+            })
+            .collect();
+        for delayed in [false, true] {
+            let seen = std::sync::Arc::new(std::sync::Mutex::new(Seen::new()));
+            let log = std::sync::Arc::clone(&seen);
+            let recorder = move |view: &RoundView<'_>| {
+                let list = view
+                    .honest_sends()
+                    .iter()
+                    .map(|(f, t, p)| (*f, *t, p.to_vec()))
+                    .collect();
+                log.lock().unwrap().push((view.round, list));
+                RoundActions {
+                    corrupt: if view.round == 1 {
+                        vec![PartyId(1)]
+                    } else {
+                        vec![]
+                    },
+                    sends: vec![],
+                }
+            };
+            let mut sim = Sim::new(n)
+                .corrupt(PartyId(6), Corruption::LyingHonest)
+                .with_adversary(recorder);
+            if delayed {
+                sim = sim.with_delays(EdgeDelays::uniform(3, 10, 9), 12);
+            }
+            sim.run(|ctx, id| {
+                for r in 0..4u8 {
+                    for to in (0..ctx.n()).rev() {
+                        ctx.send_bytes(PartyId(to), Bytes::from(vec![id.0 as u8, r, to as u8]));
+                    }
+                    ctx.send_bytes(PartyId(0), Bytes::from(vec![id.0 as u8, r, 99]));
+                    ctx.next_round();
+                }
+            });
+            let seen = seen.lock().unwrap().clone();
+            // The round after the last barrier carries no sends.
+            assert_eq!(seen[..4], expected[..], "delayed = {delayed}");
+            assert!(seen[4..].iter().all(|(_, list)| list.is_empty()));
+        }
     }
 
     #[test]

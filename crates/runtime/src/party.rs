@@ -724,12 +724,13 @@ impl Comm for TcpParty {
             }
         }
         let wait_start = self.clock.now();
-        let mut inbox = Inbox::with_parties(self.n);
+        // Deliveries in arrival order; sorted by sender below.
+        let mut arrivals: Vec<(PartyId, Bytes)> = Vec::new();
 
         // Flush sends (self-delivery is local).
         for (to, payload) in std::mem::take(&mut self.pending) {
             if to == self.me {
-                inbox.push(self.me, payload);
+                arrivals.push((self.me, payload));
                 continue;
             }
             if stalled {
@@ -754,7 +755,7 @@ impl Comm for TcpParty {
         // Adopt any messages that arrived early for this round.
         if let Some(early) = self.future_msgs.remove(&round) {
             for (from, payload) in early {
-                inbox.push(PartyId(from), payload);
+                arrivals.push((PartyId(from), payload));
             }
         }
 
@@ -775,7 +776,7 @@ impl Comm for TcpParty {
                         payload,
                     }) => {
                         if msg_round == round {
-                            inbox.push(PartyId(from), payload);
+                            arrivals.push((PartyId(from), payload));
                         } else if msg_round > round {
                             self.future_msgs
                                 .entry(msg_round)
@@ -808,6 +809,13 @@ impl Comm for TcpParty {
         let waited = self.clock.now().saturating_sub(wait_start);
         self.round_latency_us
             .record(u64::try_from(waited.as_micros()).unwrap_or(u64::MAX));
+        // A stable sort keeps each sender's arrival order and lets the
+        // inbox append every payload.
+        arrivals.sort_by_key(|(from, _)| *from);
+        let mut inbox = Inbox::with_parties(self.n);
+        for (from, payload) in arrivals {
+            inbox.push(from, payload);
+        }
         if tracing {
             for from in 0..self.n {
                 let sizes: Vec<u64> = inbox

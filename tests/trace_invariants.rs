@@ -183,3 +183,57 @@ fn tracing_does_not_perturb_metrics() {
         assert!(base.honest_bits > 0);
     }
 }
+
+/// Byte-identical traces, pinned: one traced `Π_ℕ` run at n = 7 with an
+/// equivocating adversary, one lying-honest party (P6) and one adaptive
+/// corruption (P0 at round 9). The adversary's sends reach every inbox
+/// after the honest ones, out of sender order. The digests were taken
+/// from the executor before its inbox and metering rewrite; any change
+/// to trace order, delivery order or metering shows up here.
+#[test]
+fn golden_trace_is_pinned() {
+    use convex_agreement::adversary::Equivocate;
+    use convex_agreement::bits::Nat;
+    use convex_agreement::core::pi_n;
+    use convex_agreement::crypto::sha256;
+    use convex_agreement::net::{Adversary, Corruption, PartyId, RoundActions, RoundView};
+
+    let inputs: Vec<Nat> = [7_001u64, 7_040, 6_990, 7_013, 7_100, 7_022, 1 << 40]
+        .iter()
+        .map(|&v| Nat::from_u64(v))
+        .collect();
+    let mut equivocate = Equivocate::new(17);
+    let adversary = move |view: &RoundView<'_>| -> RoundActions {
+        let mut actions = equivocate.on_round(view);
+        if view.round == 9 {
+            actions.corrupt.push(PartyId(0));
+        }
+        actions
+    };
+    let sink = Arc::new(RingBufferSink::new(4_000_000));
+    let report = Sim::new(7)
+        .corrupt(PartyId(6), Corruption::LyingHonest)
+        .with_adversary(adversary)
+        .with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>)
+        .run(move |ctx, id| pi_n(ctx, &inputs[id.index()], BaKind::TurpinCoan));
+    let records = sink.records();
+    assert_eq!(sink.total_seen() as usize, records.len(), "ring wrapped");
+    let jsonl: String = records.iter().map(|r| r.to_jsonl() + "\n").collect();
+    assert_eq!(records.len(), 12_851);
+    assert_eq!(
+        sha256(jsonl.as_bytes()).to_hex(),
+        "8a6aa5aa3aacc848fc930f890fc6484c27dd2a5da89050752bd61f5eb32993c2",
+        "the JSONL trace changed"
+    );
+    let m = &report.metrics;
+    assert_eq!(
+        (m.honest_bits, m.honest_msgs, m.adversary_bits, m.rounds),
+        (337_584, 3_504, 257_632, 154)
+    );
+    assert_eq!(
+        sha256(format!("{m:?}").as_bytes()).to_hex(),
+        "46c729d71d33823aa67afd8f2c9815da493874336b063883048a899a05a7505d",
+        "per-scope counters or histograms changed"
+    );
+    assert_eq!(report.corrupted, vec![PartyId(0), PartyId(6)]);
+}
